@@ -120,20 +120,7 @@ class PageCache:
     # -- the cache protocol ---------------------------------------------------
 
     def get(self, key) -> PageEntry | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.increment("misses")
-                return None
-            if (entry.expires_at is not None
-                    and self.clock.now() >= entry.expires_at):
-                self._remove(key)
-                self.stats.increment("expirations")
-                self.stats.increment("misses")
-                return None
-            self._entries.move_to_end(key)
-            self.stats.increment("hits")
-            return entry
+        return self._lookup(key, count_hit=True, count_miss=True)
 
     def peek(self, key) -> PageEntry | None:
         """A hit-or-nothing read for the edge fast path.
@@ -144,17 +131,29 @@ class PageCache:
         once.  Without this, every inline probe of an uncached page
         would double-count misses and skew the E15/E19 hit ratios.
         """
+        return self._lookup(key, count_hit=True, count_miss=False)
+
+    def __contains__(self, key) -> bool:
+        """Whether a live entry is stored, counting neither a hit nor a
+        miss: the caller's own read of the page counts once."""
+        return self._lookup(key, count_hit=False, count_miss=False) is not None
+
+    def _lookup(self, key, count_hit: bool, count_miss: bool
+                ) -> PageEntry | None:
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                return None
-            if (entry.expires_at is not None
+            if (entry is not None and entry.expires_at is not None
                     and self.clock.now() >= entry.expires_at):
                 self._remove(key)
                 self.stats.increment("expirations")
+                entry = None
+            if entry is None:
+                if count_miss:
+                    self.stats.increment("misses")
                 return None
             self._entries.move_to_end(key)
-            self.stats.increment("hits")
+            if count_hit:
+                self.stats.increment("hits")
             return entry
 
     def put(self, key, entry: PageEntry) -> None:
@@ -185,7 +184,10 @@ class PageCache:
         """
         first_attempt = True
         while True:
-            entry = self.get(key)
+            # one hit or miss per call: a follower's re-read after the
+            # leader's build is counted as ``coalesced`` only
+            entry = self._lookup(key, count_hit=first_attempt,
+                                 count_miss=first_attempt)
             if entry is not None:
                 if not first_attempt:
                     self.stats.increment("coalesced")

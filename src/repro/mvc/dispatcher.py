@@ -459,7 +459,7 @@ class FrontController:
         generation = None
         if self.page_cache is not None:
             key = self._page_key(mapping, request, session)
-            if self.page_cache.peek(key) is not None:
+            if key in self.page_cache:
                 return None  # a stored entry serves faster than a stream
             if not self.page_cache.begin_flight(key):
                 return None  # another request is building: wait via handle()
@@ -481,6 +481,11 @@ class FrontController:
             if key is not None:
                 self.page_cache.finish_flight(key)
             return None  # no template for the page: the full path 500s
+        if key is not None:
+            # the stream leads this page's build: its one miss (the
+            # membership probe above counts nothing, and a follower's
+            # get_or_build counts its own)
+            self.page_cache.stats.increment("misses")
 
         def chunks():
             produced: list[str] = []

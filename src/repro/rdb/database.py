@@ -18,6 +18,7 @@ from repro.errors import IntegrityError, QueryError, SchemaError
 from repro.rdb.adaptive import AdaptiveController
 from repro.rdb.engine import DurableEngine, MemoryEngine, StorageEngine
 from repro.rdb.executor import ResultSet, RowScope
+from repro.rdb.expr import And, ColumnRef, Comparison, Literal, Param
 from repro.rdb.planner import PlannerFeatures, SelectPlan
 from repro.rdb.schema import ForeignKey, TableSchema
 from repro.rdb.sqlparser import (
@@ -858,10 +859,15 @@ class Database:
         return count
 
     def _match_rows(self, store: TableStore, where, params: dict) -> list[int]:
+        """Row ids the UPDATE/DELETE ``where`` selects, in ``store.rows``
+        order.  An index narrows the rows it is evaluated on when
+        :func:`_index_probe` allows; otherwise every row is."""
         columns = {store.schema.name: store.schema.column_names}
+        probe = _index_probe(store, where, params)
+        row_ids = list(store.rows) if probe is None else store.find_by_key(*probe)
         matches = []
-        for row_id, row in list(store.rows.items()):
-            scope = RowScope({store.schema.name: row}, columns)
+        for row_id in row_ids:
+            scope = RowScope({store.schema.name: store.rows[row_id]}, columns)
             if where is None or where.evaluate(scope, params) is True:
                 matches.append(row_id)
         return matches
@@ -992,3 +998,55 @@ class Database:
 
     def table_names(self) -> list[str]:
         return sorted(self.tables)
+
+
+def _index_probe(store: TableStore, where, params: dict
+                 ) -> tuple[tuple, tuple] | None:
+    """``(columns, key)`` for :meth:`TableStore.find_by_key` that finds
+    a superset of the rows ``where`` selects, or None for a full scan.
+
+    Only a WHERE made of ``column = :param | literal`` conjuncts
+    qualifies, and only when each value is of a type ``=`` compares
+    with the column's stored values without raising: then ``where``
+    raises on no row, so skipping rows cannot hide an error (``oid =
+    '1'`` on an INTEGER key must keep raising ``cannot compare``).
+    The columns must lead some index.
+    """
+    if where is None:
+        return None
+    equalities: dict[str, object] = {}
+    pending = [where]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, And):
+            pending += (node.left, node.right)
+            continue
+        if not isinstance(node, Comparison) or node.op != "=":
+            return None
+        column, operand = node.left, node.right
+        if not isinstance(column, ColumnRef):
+            column, operand = operand, column
+        if (not isinstance(column, ColumnRef)
+                or column.table not in (None, store.schema.name)
+                or not store.schema.has_column(column.column)):
+            return None
+        if isinstance(operand, Literal):
+            value = operand.value
+        elif isinstance(operand, Param) and operand.name in params:
+            value = params[operand.name]
+        else:
+            return None
+        sql_type = store.schema.column(column.column).sql_type
+        if type(value) not in sql_type.comparable_types or value != value:
+            return None  # NULL, a foreign type, or NaN
+        equalities.setdefault(column.column, value)
+    best: tuple = ()
+    for _, index in store.iter_indexes():
+        width = 0
+        while width < len(index.columns) and index.columns[width] in equalities:
+            width += 1
+        if width > len(best):
+            best = index.columns[:width]
+    if not best:
+        return None
+    return best, tuple(equalities[c] for c in best)

@@ -8,6 +8,7 @@ binding map to the expression layer's ``lookup`` protocol.
 
 from __future__ import annotations
 
+import datetime
 import functools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -596,7 +597,12 @@ def reduce_aggregate(func: str, distinct: bool, values: list):
 
 @functools.total_ordering
 class SortKey:
-    """Comparable wrapper implementing SQL NULLS FIRST ordering."""
+    """Comparable wrapper implementing SQL NULLS FIRST ordering.
+
+    The reference ordering: :func:`sort_rows_with_keys` falls back to
+    it for key columns without one native type family, and the tests
+    use it as the oracle for the native path.
+    """
 
     __slots__ = ("value",)
 
@@ -635,19 +641,78 @@ class DescendingKey(SortKey):
         return self._compare(other) > 0
 
 
+#: exact value type -> type family whose members ``compare_values``
+#: orders exactly as Python's own ``<`` does (ints and floats compare
+#: numerically with each other; bools only with bools; ``datetime``
+#: is not a ``date`` here, since ``compare_values`` refuses the mix)
+_SORT_FAMILIES = {
+    int: "number",
+    float: "number",
+    str: "str",
+    bool: "bool",
+    datetime.date: "date",
+}
+
+_NONE_TYPE = type(None)
+_NULL_SORT_KEY = (0,)
+
+
+def _native_sort_keys(values: list) -> list | None:
+    """Native sort keys for one ORDER BY position, or None when its
+    values need the comparator.
+
+    The values must hold at most one type family (NULLs allowed) and
+    no NaN; then Python's ``<`` on them agrees with ``compare_values``.
+    NULL becomes ``(0,)`` and a value ``(1, value)`` — before every
+    value, as the indexes' ``_NullKey`` orders it — and a column
+    without NULLs is its own key.
+    """
+    types = set(map(type, values))
+    has_null = _NONE_TYPE in types
+    types.discard(_NONE_TYPE)
+    families = {_SORT_FAMILIES.get(t) for t in types}
+    if None in families or len(families) > 1:
+        return None
+    if float in types and any(v != v for v in values if type(v) is float):
+        return None  # NaN: compare_values calls it equal to everything
+    if not has_null:
+        return values
+    return [_NULL_SORT_KEY if v is None else (1, v) for v in values]
+
+
 def sort_rows_with_keys(rows_with_keys: list, order_by) -> None:
     """Sort ``(row, keys)`` pairs in place by the ORDER BY items.
 
-    One stable pass over composite ``(SortKey | DescendingKey, ...)``
-    tuples — mathematically identical to the seed's last-to-first
-    stable-pass loop, but with one sort call and, crucially, *shared by
-    the compiled and interpreted execution modes*, so NULL-heavy and
-    mixed-type orderings cannot diverge between them: equal keys keep
-    input order in both, and incomparable values raise the same
-    :class:`~repro.errors.QueryError` from ``compare_values`` in both.
+    The one sorter of every execution mode (compiled, interpreted,
+    columnar, seed), so NULL-heavy and mixed-type orderings cannot
+    diverge between them.  When every ORDER BY position holds a single
+    type family (see :func:`_native_sort_keys`), it runs one stable
+    ``list.sort`` per key on native keys, last key first, with
+    ``reverse`` for DESC (which puts NULLs last); ties keep input
+    order.  Otherwise — mixed families, bools among numbers, NaN — it
+    sorts with the :class:`SortKey`/:class:`DescendingKey` comparator,
+    which alone defines the ``cannot compare`` :class:`QueryError` and
+    NaN's placement.  Both give the same permutation wherever the
+    native path applies.
     """
-    if not order_by:
+    if not order_by or len(rows_with_keys) < 2:
         return
+    columns = []
+    for position in range(len(order_by)):
+        column = _native_sort_keys([keys[position] for _, keys in rows_with_keys])
+        if column is None:
+            _sort_with_comparator(rows_with_keys, order_by)
+            return
+        columns.append(column)
+    order = list(range(len(rows_with_keys)))
+    for item, column in zip(reversed(order_by), reversed(columns)):
+        order.sort(key=column.__getitem__, reverse=item.descending)
+    rows_with_keys[:] = [rows_with_keys[i] for i in order]
+
+
+def _sort_with_comparator(rows_with_keys: list, order_by) -> None:
+    """One stable pass over composite ``(SortKey | DescendingKey, ...)``
+    tuples: the reference ordering for any key values."""
     wrappers = tuple(
         DescendingKey if item.descending else SortKey for item in order_by
     )

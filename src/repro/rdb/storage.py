@@ -54,6 +54,14 @@ class _NullKey:
 _NULL = _NullKey()
 
 
+def _sorted_discard(keys: list, key: tuple) -> None:
+    """Remove ``key`` from the ascending list ``keys``."""
+    position = bisect.bisect_left(keys, key)
+    if position == len(keys) or keys[position] != key:
+        raise ValueError("key not in sorted view")
+    del keys[position]
+
+
 class _HashIndex:
     """Equality index mapping a tuple of column values to row ids,
     with an on-demand sorted key list for ordered access paths."""
@@ -90,10 +98,11 @@ class _HashIndex:
 
     def add(self, row_id: int, row: dict) -> None:
         key = self.key_for(row)
-        if key not in self._entries:
-            self._sorted_dirty = True
-            self._entries[key] = set()
-        self._entries[key].add(row_id)
+        holders = self._entries.get(key)
+        if holders is None:
+            holders = self._entries[key] = set()
+            self._sorted_change(key, bisect.insort)
+        holders.add(row_id)
 
     def remove(self, row_id: int, row: dict) -> None:
         key = self.key_for(row)
@@ -102,7 +111,7 @@ class _HashIndex:
             holders.discard(row_id)
             if not holders:
                 del self._entries[key]
-                self._sorted_dirty = True
+                self._sorted_change(key, _sorted_discard)
 
     def find(self, key: tuple) -> set[int]:
         return self._entries.get(key, set())
@@ -110,9 +119,10 @@ class _HashIndex:
     # -- ordered access -----------------------------------------------------
 
     def sorted_keys(self) -> list[tuple] | None:
-        """All index keys in ascending order, rebuilt lazily after key-set
-        changes.  None when keys are mutually incomparable (mixed-type
-        column) — callers then fall back to a sequential scan."""
+        """All index keys in ascending order, built lazily and then kept
+        in step with key-set changes.  None when keys are mutually
+        incomparable (mixed-type column) — callers then fall back to a
+        sequential scan."""
         if self._sorted_dirty:
             try:
                 self._sorted = sorted(self._entries)
@@ -120,6 +130,17 @@ class _HashIndex:
                 self._sorted = None
             self._sorted_dirty = False
         return self._sorted
+
+    def _sorted_change(self, key: tuple, change) -> None:
+        """Apply one key insertion or removal to a built sorted view;
+        anything it cannot place marks the view for a rebuild."""
+        if self._sorted_dirty or self._sorted is None:
+            self._sorted_dirty = True
+            return
+        try:
+            change(self._sorted, key)
+        except (TypeError, ValueError):
+            self._sorted_dirty = True
 
     def scan_prefix(self, prefix: tuple) -> set[int] | None:
         """Row ids whose key starts with ``prefix`` (real values only).
@@ -194,6 +215,9 @@ class TableStore:
     def __init__(self, schema: TableSchema):
         self.schema = schema
         self.rows: dict[int, dict] = {}
+        #: False once a row was re-inserted behind a younger one, so
+        #: ``rows`` order is no longer ascending row-id order
+        self._rows_in_id_order = True
         self._next_row_id = 1
         self._auto_counter = 0
         #: snapshot written by ANALYZE (see repro.rdb.statistics);
@@ -280,11 +304,16 @@ class TableStore:
         self.check_unique(row)
         row_id = self._next_row_id
         self._next_row_id += 1
-        self.rows[row_id] = row
+        self._append_row(row_id, row)
         for index in self._indexes.values():
             index.add(row_id, row)
         self.column_store.note_insert(row_id, row)
         return row_id
+
+    def _append_row(self, row_id: int, row: dict) -> None:
+        if self.rows and row_id < next(reversed(self.rows)):
+            self._rows_in_id_order = False
+        self.rows[row_id] = row
 
     def update_row(self, row_id: int, changes: dict) -> dict:
         old = self.rows[row_id]
@@ -316,7 +345,7 @@ class TableStore:
 
     def restore_row(self, row_id: int, row: dict) -> None:
         """Re-insert a previously deleted row under its original id."""
-        self.rows[row_id] = row
+        self._append_row(row_id, row)
         for index in self._indexes.values():
             index.add(row_id, row)
         # a re-inserted key appends at the end of the rows dict, which is
@@ -360,16 +389,34 @@ class TableStore:
     # -- lookups ------------------------------------------------------------------
 
     def find_by_key(self, columns: tuple[str, ...], key: tuple) -> list[int]:
-        """Row ids whose ``columns`` equal ``key``, via an index when one
-        exists, else a scan."""
-        index = self.index_on(columns)
+        """Row ids whose ``columns`` equal ``key``, in :attr:`rows` order
+        (the order a scan visits them), via an index whose key is or
+        starts with ``columns`` when one exists, else a scan."""
+        index = self.index_on(columns) or self._index_led_by(columns)
         if index is not None:
-            return sorted(index.find(key))
+            row_ids = index.scan_prefix(key)
+            if row_ids is not None:
+                return self._in_row_order(row_ids)
         matches = []
         for row_id, row in self.rows.items():
             if tuple(row[c] for c in columns) == key:
                 matches.append(row_id)
         return matches
+
+    def _index_led_by(self, columns: tuple[str, ...]) -> _HashIndex | None:
+        """A composite index whose leading columns are ``columns``."""
+        width = len(columns)
+        for index in self._indexes.values():
+            if index.columns[:width] == columns:
+                return index
+        return None
+
+    def _in_row_order(self, row_ids) -> list[int]:
+        """``row_ids`` in :attr:`rows` order: ascending ids unless a
+        rollback restored a row behind a younger one."""
+        if self._rows_in_id_order:
+            return sorted(row_ids)
+        return [row_id for row_id in self.rows if row_id in row_ids]
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -17,6 +17,10 @@ class SqlType:
     """Base class; concrete types override :meth:`coerce` and ``ddl``."""
 
     name = "ANY"
+    #: exact Python types whose values ``=`` compares with a stored
+    #: non-NULL value of this type without raising, agreeing with
+    #: Python's ``==`` (so an index probe finds exactly the matches)
+    comparable_types: tuple = ()
 
     def ddl(self) -> str:
         return self.name
@@ -37,6 +41,7 @@ class SqlType:
 
 class IntegerType(SqlType):
     name = "INTEGER"
+    comparable_types = (int, float)
 
     def coerce(self, value):
         if value is None:
@@ -57,6 +62,7 @@ class IntegerType(SqlType):
 
 class FloatType(SqlType):
     name = "FLOAT"
+    comparable_types = (int, float)
 
     def coerce(self, value):
         if value is None:
@@ -75,6 +81,7 @@ class FloatType(SqlType):
 
 class VarcharType(SqlType):
     name = "VARCHAR"
+    comparable_types = (str,)
 
     def __init__(self, length: int):
         if length <= 0:
@@ -98,6 +105,7 @@ class VarcharType(SqlType):
 
 class TextType(SqlType):
     name = "TEXT"
+    comparable_types = (str,)
 
     def coerce(self, value):
         if value is None:
@@ -107,6 +115,7 @@ class TextType(SqlType):
 
 class BooleanType(SqlType):
     name = "BOOLEAN"
+    comparable_types = (bool,)
 
     def coerce(self, value):
         if value is None:
@@ -122,6 +131,7 @@ class BooleanType(SqlType):
 
 class DateType(SqlType):
     name = "DATE"
+    comparable_types = (datetime.date,)
 
     def coerce(self, value):
         if value is None:

@@ -197,6 +197,71 @@ class TestAsyncEdge:
             ).value >= 1
 
 
+class _SignallingEvent(threading.Event):
+    """A flight slot that reports when a follower starts waiting on it."""
+
+    def __init__(self, waiting: threading.Event):
+        super().__init__()
+        self.waiting = waiting
+
+    def wait(self, timeout=None):
+        self.waiting.set()
+        return super().wait(timeout)
+
+
+class TestPageCacheAccounting:
+    def test_every_page_get_counts_one_hit_or_miss(self):
+        """Streamed misses, inline hits and a coalesced follower each
+        count exactly once in ``PageCache.stats``."""
+        from repro.mvc.http import HttpRequest
+
+        app = build_full_stack_app()
+        front, cache = app.front, app.page_cache
+        gets = 0
+
+        def request(oid):
+            nonlocal gets
+            gets += 1
+            return HttpRequest.from_url(volume_url(app, oid))
+
+        def edge_get(oid):
+            """What the async edge does with one GET, in process."""
+            req = request(oid)
+            inline = front.probe_cached(req)
+            if inline is not None:
+                return inline.body
+            streamed = front.handle_streaming(req)
+            if streamed is not None:
+                return "".join(streamed.chunks)
+            return app.handle(req).body
+
+        cache.flush()
+        cache.stats.reset()
+        first = edge_get(1)            # streamed miss
+        assert edge_get(1) == first    # inline hit
+        edge_get(2)                    # streamed miss
+        assert cache.stats.misses == 2 and cache.stats.hits == 1
+
+        # a stream leads page 3; a second GET of it falls back to
+        # get_or_build and waits for the leader
+        leader = front.handle_streaming(request(3))
+        assert leader is not None
+        (key,) = cache._in_flight
+        waiting = threading.Event()
+        cache._in_flight[key] = _SignallingEvent(waiting)
+        followed = []
+        follower = threading.Thread(target=lambda: followed.append(edge_get(3)))
+        follower.start()
+        assert waiting.wait(5)
+        body = "".join(leader.chunks)
+        follower.join(5)
+        assert followed == [body]
+        assert cache.stats.coalesced == 1
+        assert edge_get(3) == body     # inline hit
+        assert cache.stats.hits + cache.stats.misses == gets == 6
+        assert (cache.stats.hits, cache.stats.misses) == (2, 4)
+
+
 # -- byte identity between the edges ------------------------------------------
 
 

@@ -4,9 +4,12 @@ ANALYZE must recompile, a dropped schema must poison the compiled
 entry), the prepared-statement fast path, ordering edge cases shared
 by both modes, and the observability surface the compiler feeds."""
 
+import datetime
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import QueryError
 from repro.rdb import Database
@@ -315,6 +318,123 @@ class TestOrderingEdgeCases:
         # key 1 ascending (NULL first), key 2 descending breaks the tie
         sort_rows_with_keys(items, [_Key(False), _Key(True)])
         assert [row for row, _ in items] == ["b", "a", "c"]
+
+
+def _reference_sort(rows_with_keys: list, order_by) -> list:
+    """The oracle: one stable sort over ``SortKey``/``DescendingKey``
+    tuples, the comparator every ORDER BY used before native keys."""
+    wrappers = [DescendingKey if item.descending else SortKey
+                for item in order_by]
+    return sorted(rows_with_keys, key=lambda pair: tuple(
+        wrap(value) for wrap, value in zip(wrappers, pair[1])
+    ))
+
+
+class _OrderItem:
+    def __init__(self, descending):
+        self.descending = descending
+
+
+_NAN = float("nan")
+#: per-column value pools: the single families take the native path,
+#: "mixed" (and NaN, and bools among numbers) take the comparator
+_SORT_POOLS = {
+    "int": st.integers(-3, 3),
+    "number": st.one_of(st.integers(-3, 3),
+                        st.sampled_from([-1.5, 0.0, 2.0, 2.5, float("inf")])),
+    "number_nan": st.one_of(st.integers(-3, 3), st.sampled_from([1.5, _NAN])),
+    "str": st.sampled_from(["", "a", "ab", "B", "b", "\u00e9"]),
+    "bool": st.booleans(),
+    "date": st.dates(datetime.date(2000, 1, 1), datetime.date(2000, 1, 5)),
+    "number_bool": st.one_of(st.integers(0, 2), st.booleans()),
+    "mixed": st.one_of(st.integers(0, 2), st.sampled_from(["1", "x"]),
+                       st.booleans(),
+                       st.just(datetime.datetime(2000, 1, 1)),
+                       st.dates(datetime.date(2000, 1, 1),
+                                datetime.date(2000, 1, 2))),
+}
+
+
+@st.composite
+def _rows_and_order(draw):
+    width = draw(st.integers(1, 3))
+    pools = [draw(st.sampled_from(sorted(_SORT_POOLS))) for _ in range(width)]
+    nulls = [draw(st.booleans()) for _ in range(width)]
+    count = draw(st.integers(0, 12))
+    rows = []
+    for position in range(count):
+        keys = []
+        for pool, nullable in zip(pools, nulls):
+            value = draw(_SORT_POOLS[pool])
+            if nullable and draw(st.integers(0, 3)) == 0:
+                value = None
+            keys.append(value)
+        rows.append((f"r{position}", tuple(keys)))
+    order_by = [_OrderItem(draw(st.booleans())) for _ in range(width)]
+    return rows, order_by
+
+
+class TestSortOracle:
+    """The native-key sorter against the comparator reference: the same
+    permutation, or the same ``QueryError``."""
+
+    @given(case=_rows_and_order())
+    @settings(max_examples=400, deadline=None)
+    def test_native_sort_matches_comparator(self, case):
+        rows, order_by = case
+        try:
+            want = _reference_sort(rows, order_by)
+        except QueryError as error:
+            with pytest.raises(QueryError) as raised:
+                sort_rows_with_keys(list(rows), order_by)
+            assert str(raised.value) == str(error)
+            return
+        got = list(rows)
+        sort_rows_with_keys(got, order_by)
+        assert [row for row, _ in got] == [row for row, _ in want]
+
+    def test_int_and_float_ties_keep_input_order(self):
+        rows = [("a", (2.0,)), ("b", (1,)), ("c", (2,)), ("d", (1.0,))]
+        for descending in (False, True):
+            got = list(rows)
+            sort_rows_with_keys(got, [_OrderItem(descending)])
+            want = ["b", "d", "a", "c"] if not descending else ["a", "c", "b", "d"]
+            assert [row for row, _ in got] == want
+
+    def test_bool_among_numbers_raises(self):
+        with pytest.raises(QueryError, match="cannot compare"):
+            sort_rows_with_keys([("a", (1,)), ("b", (True,))], [_OrderItem(False)])
+
+    def test_order_by_limit_offset_identical_in_every_mode(self):
+        db = Database()
+        db.execute(
+            "CREATE TABLE t (oid INTEGER NOT NULL AUTOINCREMENT,"
+            " title VARCHAR(20), price FLOAT, day DATE, flag BOOLEAN,"
+            " PRIMARY KEY (oid))"
+        )
+        for i in range(30):
+            db.insert_row("t", {
+                "title": None if i % 7 == 0 else f"t{i % 5}",
+                "price": None if i % 4 == 0 else float(i % 3),
+                "day": datetime.date(2001, 1, 1 + i % 6),
+                "flag": None if i % 5 == 0 else i % 2 == 0,
+            })
+        names = ["oid", "title", "price", "day", "flag"]
+        stored = db.query(f"SELECT {', '.join(names)} FROM t").as_tuples()
+        for order in ("title, price DESC", "price DESC, day, oid DESC",
+                      "flag DESC, title", "day DESC, flag, price"):
+            items = [part.split() for part in order.split(", ")]
+            pairs = [(row, tuple(row[names.index(item[0])] for item in items))
+                     for row in stored]
+            want = _reference_sort(
+                pairs, [_OrderItem(item[-1] == "DESC") for item in items])
+            page = repr([row for row, _ in want][4:11])
+            sql = (f"SELECT {', '.join(names)} FROM t"
+                   f" ORDER BY {order} LIMIT 7 OFFSET 4")
+            for plan in (db.prepare(sql, columnar=True), db.prepare(sql),
+                         db.prepare(sql, compiled=False),
+                         db.prepare(sql, optimize=False)):
+                assert repr(plan.execute({}).as_tuples()) == page, order
 
 
 class TestCompileObservability:

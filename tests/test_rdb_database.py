@@ -2,6 +2,8 @@
 query execution (joins, grouping, ordering), pooled connections, and
 property-based invariants on storage."""
 
+import datetime
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,8 @@ from repro.errors import (
     SchemaError,
 )
 from repro.rdb import Connection, ConnectionPool, Database
+from repro.rdb.database import _index_probe
+from repro.rdb.sqlparser import parse_sql
 
 
 @pytest.fixture
@@ -507,3 +511,166 @@ class TestStorageProperties:
             1 for lk in lefts for rk in rights if lk == rk
         )
         assert len(joined) == expected
+
+
+def _dml_database(indexed: bool) -> Database:
+    """A paper/authorship pair; the twin (``indexed=False``) has the
+    same columns and rows but no primary key and no index, so every
+    UPDATE/DELETE scans."""
+    pk = " AUTOINCREMENT, PRIMARY KEY (oid)" if indexed else ""
+    pair_pk = ", PRIMARY KEY (paper_oid, author_oid)" if indexed else ""
+    db = Database()
+    db.execute(
+        "CREATE TABLE paper (venue VARCHAR(10), year INTEGER,"
+        " score FLOAT, hot BOOLEAN, day DATE, title VARCHAR(40),"
+        f" oid INTEGER NOT NULL{pk})"
+    )
+    db.execute(
+        "CREATE TABLE authorship (paper_oid INTEGER NOT NULL,"
+        f" author_oid INTEGER NOT NULL, role VARCHAR(10){pair_pk},"
+        " FOREIGN KEY (paper_oid) REFERENCES paper (oid) ON DELETE CASCADE)"
+    )
+    if indexed:
+        for sql in ("CREATE INDEX ix_venue_year ON paper (venue, year)",
+                    "CREATE INDEX ix_score ON paper (score)",
+                    "CREATE INDEX ix_hot ON paper (hot)",
+                    "CREATE INDEX ix_day ON paper (day)"):
+            db.execute(sql)
+    for i in range(12):
+        db.insert_row("paper", {
+            "oid": i + 1, "venue": "abc"[i % 3], "year": None if i % 5 == 4 else 2000 + i % 2,
+            "score": None if i % 4 == 3 else [1.0, 2.5, 4.0][i % 3],
+            "hot": None if i % 6 == 5 else i % 2 == 0,
+            "day": None if i % 7 == 6 else datetime.date(2001, 1, 1 + i % 3),
+            "title": f"p{i}",
+        })
+    # author-major order: authorship rows are not in paper_oid order
+    for author in (1, 2, 3):
+        for paper in range(1, 13):
+            if (paper + author) % 3:
+                db.insert_row("authorship", {
+                    "paper_oid": paper, "author_oid": author, "role": "r",
+                })
+    return db
+
+
+#: UPDATE/DELETE statements whose WHERE an index can narrow (for the
+#: values that pass the type guard)
+_DML = [
+    "DELETE FROM paper WHERE oid = :v",
+    "DELETE FROM paper WHERE paper.oid = :v",
+    "UPDATE paper SET title = 'u' WHERE :v = oid",
+    "UPDATE paper SET title = 'w' WHERE venue = :s AND year = :y",
+    "UPDATE paper SET year = 2005 WHERE venue = :s",
+    "DELETE FROM paper WHERE venue = :s AND year = :y AND hot = :h",
+    "UPDATE paper SET hot = :h WHERE score = :f",
+    "DELETE FROM paper WHERE hot = :h",
+    "DELETE FROM paper WHERE day = :d",
+    "DELETE FROM authorship WHERE paper_oid = :v",
+    "UPDATE authorship SET role = 'x' WHERE author_oid = :y AND paper_oid = :v",
+    "DELETE FROM paper WHERE oid = :v OR oid = 3",
+]
+
+_DML_PARAMS = st.fixed_dictionaries({
+    "v": st.one_of(st.integers(1, 13), st.sampled_from([2.0, 3.5, "1", True, None])),
+    "s": st.sampled_from(["a", "b", "c", "z", 1]),
+    "y": st.one_of(st.integers(2000, 2001), st.sampled_from([1, 2000.0, "2000"])),
+    "h": st.sampled_from([True, False, 1, None]),
+    "f": st.sampled_from([1.0, 2.5, 4, float("nan"), "1.0"]),
+    "d": st.sampled_from([datetime.date(2001, 1, 2),
+                          datetime.datetime(2001, 1, 2), "2001-01-02"]),
+})
+
+
+class _Twin:
+    """An indexed database and its index-free twin, driven in step."""
+
+    def __init__(self):
+        self.dbs = [_dml_database(True), _dml_database(False)]
+        self.logs = [[], []]
+        for db, log in zip(self.dbs, self.logs):
+            db.commit_stream.subscribe(
+                lambda event, log=log: log.append(event.ops)
+            )
+
+    def run(self, action) -> None:
+        """Apply ``action(db)`` to both; outcomes, rows (in storage
+        order) and committed redo records must agree."""
+        outcomes = []
+        for db in self.dbs:
+            try:
+                outcomes.append(("ok", action(db)))
+            except QueryError as error:
+                outcomes.append(("error", str(error)))
+        assert outcomes[0] == outcomes[1]
+        for table in ("paper", "authorship"):
+            assert (list(self.dbs[0].table(table).rows.items())
+                    == list(self.dbs[1].table(table).rows.items()))
+        assert self.logs[0] == self.logs[1]
+
+    def rolled_back(self, sql: str, params: dict) -> None:
+        def action(db):
+            db.begin()
+            try:
+                return db.execute(sql, params)
+            finally:
+                db.rollback()
+        self.run(action)
+
+
+class TestIndexedDml:
+    """UPDATE/DELETE narrowed through an index touch exactly the rows,
+    in exactly the order, that a full scan does."""
+
+    def test_narrowable_where_uses_an_index(self):
+        db = _dml_database(True)
+        paper, authorship = db.table("paper"), db.table("authorship")
+
+        def probe(store, sql, params):
+            return _index_probe(store, parse_sql(sql).where, params)
+
+        assert probe(paper, _DML[0], {"v": 3}) == (("oid",), (3,))
+        assert probe(paper, _DML[3], {"s": "a", "y": 2000}) == (
+            ("venue", "year"), ("a", 2000))
+        assert probe(authorship, _DML[9], {"v": 3}) == (("paper_oid",), (3,))
+        # a foreign type, NULL, NaN, a missing parameter or a non-equality
+        # conjunct keeps the full scan
+        for params in ({"v": "1"}, {"v": True}, {"v": None}, {}):
+            assert probe(paper, _DML[0], params) is None
+        assert probe(paper, _DML[6], {"f": float("nan"), "h": True}) is None
+        assert probe(paper, _DML[11], {"v": 3}) is None
+
+    def test_mistyped_key_still_raises(self):
+        for db in (_dml_database(True), _dml_database(False)):
+            for value in ("1", True):
+                with pytest.raises(QueryError, match="cannot compare"):
+                    db.execute("DELETE FROM paper WHERE oid = :v", {"v": value})
+            assert db.row_count("paper") == 12
+
+    def test_cascade_through_pk_prefix_after_rollback(self):
+        twin = _Twin()
+        # restored rows re-enter storage at the end: rows order is no
+        # longer row-id order, in either table
+        twin.rolled_back("DELETE FROM paper WHERE oid = :v", {"v": 2})
+        twin.rolled_back("DELETE FROM authorship WHERE paper_oid = :v", {"v": 5})
+        assert (list(twin.dbs[0].table("authorship").rows)
+                != sorted(twin.dbs[0].table("authorship").rows))
+        for oid in (2, 5, 7):
+            twin.run(lambda db: db.execute(
+                "DELETE FROM paper WHERE oid = :v", {"v": oid}))
+        twin.run(lambda db: db.execute(
+            "UPDATE paper SET title = 'z' WHERE venue = 'a'"))
+        assert len(twin.logs[0]) == 4
+
+    @given(steps=st.lists(
+        st.tuples(st.sampled_from(_DML), _DML_PARAMS, st.booleans()),
+        min_size=1, max_size=8,
+    ))
+    @settings(max_examples=80, deadline=None)
+    def test_indexed_dml_matches_full_scan(self, steps):
+        twin = _Twin()
+        for sql, params, rollback in steps:
+            if rollback:
+                twin.rolled_back(sql, params)
+            else:
+                twin.run(lambda db: db.execute(sql, params))
